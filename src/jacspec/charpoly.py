@@ -159,20 +159,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_error_bound(self, x: float) -> float:
-        """Running rounding-error bound for Horner evaluation at float x.
-
-        Roughly 2n·eps · sum |c_i||x|^i; used to decide when a computed
-        value is numerically indistinguishable from zero.
-        """
-        n = max(len(self.coeffs), 1)
-        tilde = 0.0
-        ax = abs(x)
-        for c in reversed(self.coeffs):
-            tilde = tilde * ax + abs(float(c))
-        u = 2.220446049250313e-16
-        return 2 * n * u * tilde
-
     # -- conversions / comparison ---------------------------------------
 
     def as_float(self) -> "Poly":

@@ -24,13 +24,14 @@ from .charpoly import charpoly_floquet, charpoly_jacobi
 from .inverse import (
     amb3_solve,
     brute_force_isospectral_search,
+    closed_form_free_spectrum,
     eliminate_spurious,
     verify_amb_dirichlet,
     verify_counterexample,
     verify_floquet_uniqueness,
     verify_known_boundary,
 )
-from .operators import make_floquet, make_free, make_schrodinger
+from .operators import make_floquet, make_schrodinger
 from .spectra import eigenvalues_floquet, eigenvalues_jacobi
 
 COMMANDS = (
@@ -221,7 +222,7 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
 def _run_solve_amb3(config: RunConfig) -> tuple[int, dict]:
     _require(config.n is not None, "--n is required")
     _require(config.k is not None, "--k is required")
-    free = eigenvalues_jacobi(make_free(config.n), config.tol)
+    free = closed_form_free_spectrum(config.n)
     _require(1 <= config.k <= config.n - 1, f"--k must be in 1..{config.n - 1}")
     lam_k, lam_k1 = free[config.k - 1], free[config.k]
     pair = amb3_solve(config.n, config.k, lam_k, lam_k1, config.tol_match)
@@ -425,7 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-12, help="eigenvalue bracketing tolerance")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=1e-12,
+            help="eigenvalue bracketing tolerance (used by spectrum and floquet-spectrum)",
+        )
         p.add_argument("--tol-match", type=float, default=1e-9, help="eigenvalue matching tolerance")
         p.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in output")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")

@@ -106,6 +106,17 @@ def _free_charpoly(n: int) -> Poly:
     return charpoly_jacobi(make_free(n))
 
 
+def closed_form_free_spectrum(n: int) -> Spectrum:
+    """Spectrum of the n x n free matrix in closed form: -2cos(j*pi/(n+1)), j = 1..n.
+
+    Exact up to the rounding of cos, and independent of the eigensolvers
+    whose output the theorem checks compare against it.
+    """
+    return Spectrum(
+        tuple(-2.0 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1)), 0.0
+    )
+
+
 def _two_site(n: int, b1, b2) -> JacobiMatrix:
     """Schrodinger matrix whose diagonal is (b1, b2, 0, ..., 0)."""
     return make_schrodinger(n, (b1, b2) + (0,) * (n - 2))
@@ -140,7 +151,7 @@ def verify_amb_dirichlet(b: Sequence, tol: float = DEFAULT_TOL_MATCH, eig_tol: f
     b = tuple(b)
     n = len(b)
     s = eigenvalues_jacobi(make_schrodinger(n, b), eig_tol)
-    f = eigenvalues_jacobi(make_free(n), eig_tol)
+    f = closed_form_free_spectrum(n)
     shared, worst = spectra_match(s, f, tol)
     bnorm = max((abs(float(x)) for x in b), default=0.0)
     total, pairs, sq = _pair_sums(b)
@@ -408,7 +419,7 @@ def eliminate_spurious(n: int, k: int, tol: float = DEFAULT_TOL_MATCH, eig_tol: 
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    free_spec = eigenvalues_jacobi(make_free(n), eig_tol)
+    free_spec = closed_form_free_spectrum(n)
     lam_k, lam_k1 = free_spec[k - 1], free_spec[k]
     cands = amb3_candidates(lam_k, lam_k1, tol)
     spurious = next(c for c in cands if c.branch == "spurious")
@@ -490,7 +501,7 @@ def amb3_solve(
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    free_spec = eigenvalues_jacobi(make_free(n), 1e-12)
+    free_spec = closed_form_free_spectrum(n)
     if abs(lam_k - free_spec[k - 1]) > tol or abs(lam_k1 - free_spec[k]) > tol:
         raise ValueError(
             f"inputs ({lam_k:g}, {lam_k1:g}) do not match the free eigenvalues "
@@ -610,7 +621,7 @@ def brute_force_isospectral_search(
     lo, hi, step = grid
     if not (lo < hi and step > 0):
         raise ValueError(f"bad grid spec {grid!r}")
-    free_spec = eigenvalues_jacobi(make_free(n), 1e-12)
+    free_spec = closed_form_free_spectrum(n)
     ks = [k] if k is not None else list(range(1, n))
     axis = np.arange(lo, hi + step / 2, step)
     b1g = axis[:, None]

@@ -1,15 +1,18 @@
 """Eigenvalues, eigenvectors, interlacing, and eigenvalue derivatives.
 
-Jacobi eigenvalues come from Sturm-sequence bisection: the number of
+Jacobi eigenvalues are certified by Sturm counts: the number of
 eigenvalues below a shift x equals the number of negative pivots in the
-LDL^T factorization of (M - xI), which is the pivot form of the same
-three-term recurrence used for characteristic polynomials. Bisection on
-the counting function brackets every eigenvalue deterministically.
+LDL^T factorization of (M - xI), the pivot form of the three-term
+recurrence used for characteristic polynomials. LAPACK's MRRR solver
+(``stemr``) supplies estimates; a bracket of width tol around each one is
+kept only when the counts show it holds the right eigenvalue, and any
+other bracket is found by bisection on the counting function. Every
+returned value is the midpoint of a certified bracket of width <= tol.
 
-Corner-coupled (Floquet) eigenvalues are the real roots of the real
-characteristic polynomial; since the matrix is Hermitian the polynomial
-has all roots real with multiplicity at most two, which the root finder
-detects at the critical points of the polynomial.
+Corner-coupled (Floquet) eigenvalues come from one dense Hermitian solve.
+The Hermitian corner structure bounds multiplicity by two, so adjacent
+values within tol are merged pairwise into an exact double. The dense
+solve is accurate to about n*eps*||M||_1; a tol below that is refused.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh, eigvalsh_tridiagonal, solve_banded
 
-from .charpoly import Poly, charpoly_floquet
 from .operators import FloquetMatrix, JacobiMatrix, make_schrodinger
 
 _EPS = float(np.finfo(float).eps)
@@ -30,7 +32,7 @@ _BISECT_CAP = 160
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached; usually the tolerance is below float resolution."""
+    """tol cannot be met: bisection cap reached, or tol below the solver's floor."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class PerturbationPath:
 
 
 # ---------------------------------------------------------------------------
-# Sturm-sequence bisection
+# Sturm counts and certified Jacobi eigenvalues
 # ---------------------------------------------------------------------------
 
 
@@ -159,19 +161,34 @@ def _gershgorin(m: JacobiMatrix) -> tuple[float, float]:
 
 
 def eigenvalues_jacobi(m: JacobiMatrix, tol: float = 1e-12) -> Spectrum:
-    """All n eigenvalues of a Jacobi matrix, each bracketed to width <= tol.
+    """All n eigenvalues of a Jacobi matrix, each certified to width <= tol.
 
-    Jacobi matrices have simple spectrum, so the k-th value is located by
-    bisection on the counting function: count(x) >= k exactly when the
-    k-th smallest eigenvalue lies below x.
+    Every value is the midpoint of a bracket [low_k, high_k] of width at
+    most tol that Sturm counts certify to hold the k-th eigenvalue:
+    count(low_k) <= k - 1 and count(high_k) >= k. The brackets are
+    centred on LAPACK's MRRR estimates (``stemr``) and certified with
+    one vectorized count over all 2n endpoints. A bracket that fails is
+    reset to the Gershgorin interval and bisected on the counting
+    function, which needs no estimate. Raises ConvergenceError when tol
+    is below float resolution.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = _gershgorin(m)
-    pad = tol + 16 * _EPS * max(1.0, abs(lo), abs(hi))
-    low = np.full(m.n, lo - pad)
-    high = np.full(m.n, hi + pad)
-    ks = np.arange(1, m.n + 1)
+    n = m.n
+    w = eigvalsh_tridiagonal(
+        np.asarray([float(v) for v in m.b]), np.asarray([float(v) for v in m.a])
+    )
+    # keep the rounded width of [w - half, w + half] within tol
+    half = np.maximum(0.5 * tol - 2 * np.spacing(np.abs(w)), 0.0)
+    low, high = w - half, w + half
+    ks = np.arange(1, n + 1)
+    counts = _counts_below(m, np.concatenate((low, high)))
+    failed = (counts[:n] > ks - 1) | (counts[n:] < ks)
+    if failed.any():
+        lo, hi = _gershgorin(m)
+        pad = tol + 16 * _EPS * max(1.0, abs(lo), abs(hi))
+        low[failed] = lo - pad
+        high[failed] = hi + pad
     for _ in range(_BISECT_CAP):
         if float(np.max(high - low)) <= tol:
             break
@@ -187,112 +204,38 @@ def eigenvalues_jacobi(m: JacobiMatrix, tol: float = 1e-12) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Floquet eigenvalues: real roots of the characteristic polynomial
+# Floquet eigenvalues: one dense Hermitian solve
 # ---------------------------------------------------------------------------
-
-
-def _bisect_root(p: Poly, lo: float, hi: float, flo: float, tol: float) -> float:
-    """One sign-change root of p in (lo, hi); flo = p(lo)."""
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            break
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(p: Poly, dp: Poly, x: float, lo: float, hi: float) -> float:
-    """A few guarded Newton steps; stays inside [lo, hi]."""
-    for _ in range(8):
-        d = dp(x)
-        if d == 0.0:
-            break
-        step = p(x) / d
-        x_new = x - step
-        if not (lo <= x_new <= hi) or x_new == x:
-            break
-        x = x_new
-        if abs(step) <= 4 * _EPS * max(1.0, abs(x)):
-            break
-    return x
-
-
-def _simple_real_roots(p: Poly, lo: float, hi: float, tol: float) -> list[float]:
-    """All roots of a real-rooted polynomial with simple roots in [lo, hi].
-
-    Recursion on the derivative: the critical points split [lo, hi] into
-    intervals on which p is monotone, so each sign change holds exactly
-    one root.
-    """
-    if p.degree <= 0:
-        return []
-    if p.degree == 1:
-        r = -p.coeffs[0] / p.coeffs[1]
-        return [float(r)] if lo <= r <= hi else []
-    dp = p.derivative()
-    pts = [lo] + [c for c in _simple_real_roots(dp, lo, hi, tol) if lo < c < hi] + [hi]
-    roots = []
-    for a, b in zip(pts, pts[1:]):
-        fa, fb = p(a), p(b)
-        if fa == 0.0:
-            # endpoint roots are handled by the caller (touch detection)
-            continue
-        if (fa < 0) != (fb < 0) and fb != 0.0:
-            r = _bisect_root(p, a, b, fa, tol)
-            roots.append(_newton_polish(p, dp, r, a, b))
-        elif fb == 0.0:
-            roots.append(b)
-    return sorted(roots)
 
 
 def eigenvalues_floquet(m: FloquetMatrix, tol: float = 1e-12) -> Spectrum:
     """Eigenvalues (with multiplicity) of a corner-coupled matrix.
 
-    Roots of the real characteristic polynomial, found by bisection
-    between its critical points. A critical point where the polynomial
-    does not change sign but is numerically zero is a double root; the
-    Hermitian corner structure bounds multiplicity by two.
+    One dense Hermitian solve of ``m.to_dense()``. Adjacent values within
+    tol of each other are replaced, pairwise, by their mean, so a double
+    eigenvalue is stored as two equal floats; the Hermitian corner
+    structure bounds multiplicity by two. The dense solve is accurate to
+    about n*eps*||M||_1, so a tol below that floor raises
+    ConvergenceError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = charpoly_floquet(m)
-    dp = p.derivative()
-    bmin = min(float(v) for v in m.b)
-    bmax = max(float(v) for v in m.b)
-    pad = tol + 1e-9 + 16 * _EPS * max(1.0, abs(bmin), abs(bmax))
-    lo, hi = bmin - 2 - pad, bmax + 2 + pad
-    crits = _simple_real_roots(dp, lo, hi, tol)
-
-    roots: list[float] = []
-    touch: set[int] = set()
-    for i, c in enumerate(crits):
-        val = p(c)
-        if abs(val) <= 64 * p.eval_error_bound(c):
-            c = _newton_polish(dp, dp.derivative(), c, lo, hi)
-            roots.extend([c, c])
-            touch.add(i)
-    pts = [lo] + crits + [hi]
-    for i in range(len(pts) - 1):
-        # intervals adjacent to a double root carry no sign change
-        if i - 1 in touch or i in touch:
-            continue
-        a, b = pts[i], pts[i + 1]
-        fa, fb = p(a), p(b)
-        if (fa < 0) != (fb < 0):
-            r = _bisect_root(p, a, b, fa, tol)
-            roots.append(_newton_polish(p, dp, r, a, b))
-    roots.sort()
-    if len(roots) != m.n:
+    dense = m.to_dense()
+    floor = m.n * _EPS * float(np.abs(dense).sum(axis=0).max())
+    if tol < floor:
         raise ConvergenceError(
-            f"root count {len(roots)} != dimension {m.n}; roots could not be resolved"
+            f"tol {tol:g} is below the dense solver's accuracy floor {floor:g} "
+            "(n * eps * ||M||_1)"
         )
-    return Spectrum(tuple(roots), tol)
+    w = eigvalsh(dense)
+    i = 0
+    while i < m.n - 1:
+        if w[i + 1] - w[i] <= tol:
+            w[i] = w[i + 1] = 0.5 * (w[i] + w[i + 1])
+            i += 2
+        else:
+            i += 1
+    return Spectrum(tuple(w), tol)
 
 
 # ---------------------------------------------------------------------------

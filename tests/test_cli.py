@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jacspec
 from jacspec.cli import (
     RunConfig,
     batch,
@@ -15,11 +18,20 @@ from jacspec.cli import (
 )
 
 
+# the child process imports the package from where this process found it
+_SRC = str(Path(jacspec.__file__).resolve().parent.parent)
+_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p),
+)
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "jacspec", *args],
         capture_output=True,
         text=True,
+        env=_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

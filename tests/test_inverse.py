@@ -24,7 +24,17 @@ from jacspec import (
     verify_floquet_uniqueness,
     verify_known_boundary,
 )
-from jacspec.inverse import _free_charpoly, _two_site
+from jacspec.inverse import _free_charpoly, _two_site, closed_form_free_spectrum
+
+from oracles import dense_eigs
+
+
+class TestClosedFormFreeSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 57])
+    def test_matches_dense_solve(self, n):
+        s = closed_form_free_spectrum(n)
+        assert len(s) == n
+        np.testing.assert_allclose(list(s), dense_eigs(make_free(n)), rtol=0, atol=1e-13)
 
 
 class TestAmbDirichlet:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import jacspec.spectra
 from jacspec import (
     ConvergenceError,
     JacobiMatrix,
@@ -21,8 +22,11 @@ from jacspec import (
     make_schrodinger,
     spectra_match,
 )
+from jacspec.spectra import _counts_below
 
 from oracles import dense_eigs, free_closed_form
+
+EPS = float(np.finfo(float).eps)
 
 
 def random_jacobi(rng, n):
@@ -53,6 +57,24 @@ class TestSturmCount:
                 1 for u, v in zip(seq, seq[1:]) if (u > 0) == (v > 0)
             )
             assert eigenvalue_count_below(m, float(x)) == agreements
+
+    def test_shifts_at_leading_block_eigenvalues(self):
+        # with b_1 = b_2 = c, the shifts c (1x1 block) and c +- 1 (2x2 block)
+        # make a pivot vanish; the pivmin rule must still give the dense count
+        rng = np.random.default_rng(77)
+        checked = 0
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            b = [int(v) for v in rng.integers(-3, 4, n)]
+            b[1] = b[0]
+            m = make_schrodinger(n, b)
+            eigs = dense_eigs(m)
+            for x in (b[0], b[0] + 1.0, b[0] - 1.0):
+                if np.min(np.abs(eigs - x)) < 1e-9:
+                    continue  # x is also an eigenvalue of m itself
+                assert eigenvalue_count_below(m, np.float64(x)) == int(np.sum(eigs < x))
+                checked += 1
+        assert checked >= 30
 
     def test_total_count(self):
         m = make_free(9)
@@ -99,6 +121,33 @@ class TestEigenvaluesJacobi:
         with pytest.raises(ConvergenceError):
             eigenvalues_jacobi(make_free(4), tol=1e-30)
 
+    def test_large_n_certified_against_dense(self):
+        rng = np.random.default_rng(1000)
+        m = random_jacobi(rng, 1000)
+        tol = 1e-12
+        s = np.array(list(eigenvalues_jacobi(m, tol)))
+        norm1 = float(np.abs(m.to_dense()).sum(axis=0).max())
+        np.testing.assert_allclose(s, dense_eigs(m), rtol=0, atol=tol + m.n * EPS * norm1)
+        # each value lies within tol of a bracket the Sturm counts certify
+        ks = np.arange(1, m.n + 1)
+        assert (_counts_below(m, s - tol) <= ks - 1).all()
+        assert (_counts_below(m, s + tol) >= ks).all()
+
+    def test_bad_seed_falls_back_to_bisection(self, monkeypatch):
+        true_seed = jacspec.spectra.eigvalsh_tridiagonal
+
+        def off_seed(d, e):
+            w = true_seed(d, e)
+            w[::2] += 1e-3  # every other estimate fails certification
+            return w
+
+        monkeypatch.setattr(jacspec.spectra, "eigvalsh_tridiagonal", off_seed)
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 30):
+            m = random_jacobi(rng, n)
+            mine = np.array(list(eigenvalues_jacobi(m, 1e-12)))
+            np.testing.assert_allclose(mine, dense_eigs(m), rtol=0, atol=1e-12)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             eigenvalues_jacobi(make_free(3), tol=0.0)
@@ -133,6 +182,33 @@ class TestEigenvaluesFloquet:
             m = make_floquet(n, b, theta)
             mine = np.array(list(eigenvalues_floquet(m)))
             np.testing.assert_allclose(mine, dense_eigs(m), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [32, 48, 100])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, None])
+    def test_large_n_within_tol(self, n, theta):
+        rng = np.random.default_rng(n)
+        theta = float(rng.uniform(0, 1)) if theta is None else theta
+        m = make_floquet(n, tuple(rng.uniform(-3, 3, n)), theta)
+        mine = np.array(list(eigenvalues_floquet(m, 1e-12)))
+        np.testing.assert_allclose(mine, dense_eigs(m), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 32, 48, 100])
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_exact_doubles(self, n, theta):
+        # free spectrum 2cos(2*pi*(j + theta)/n): j and n - j (theta = 0) or
+        # n - 1 - j (theta = 1/2) coincide
+        s = eigenvalues_floquet(make_floquet(n, 0, theta))
+        exact = sorted(2 * math.cos(2 * math.pi * (j + theta) / n) for j in range(n))
+        np.testing.assert_allclose(list(s), exact, rtol=0, atol=1e-12)
+        for i in range(n - 1):
+            if exact[i + 1] - exact[i] < 1e-9:
+                assert s[i] == s[i + 1]
+            else:
+                assert s[i] < s[i + 1]
+
+    def test_tolerance_below_floor_raises(self):
+        with pytest.raises(ConvergenceError):
+            eigenvalues_floquet(make_floquet(5, 0, 0.3), tol=1e-30)
 
     def test_doubles_against_dense_oracle(self):
         # angles 0 and 1/2 give genuinely double eigenvalues
